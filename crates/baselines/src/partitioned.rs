@@ -5,7 +5,7 @@
 //! small instances the exact partitioned optimum is available through
 //! `hsched_core::exact` on a singleton family.
 
-use hsched_core::lst::lst_binary_search;
+use hsched_core::lst::{lst_binary_search, lst_lower_bound};
 
 /// A partitioned (non-migratory) solution.
 #[derive(Clone, Debug)]
@@ -55,7 +55,7 @@ pub fn lst_partitioned(p: &[Vec<Option<u64>>], m: usize) -> Option<PartitionedRe
     }
     let hi: u64 =
         p.iter().map(|row| row.iter().flatten().min().copied().unwrap_or(0)).sum::<u64>().max(1);
-    let (_, rounding) = lst_binary_search(p, m, 1, hi)?;
+    let (_, rounding) = lst_binary_search(p, m, lst_lower_bound(p, m).max(1), hi)?;
     let machine_of = rounding.machine_of;
     let makespan = loads(p, m, &machine_of).into_iter().max().unwrap_or(0);
     Some(PartitionedResult { machine_of, makespan })

@@ -19,7 +19,7 @@ use crate::assignment::Assignment;
 use crate::formulations::Ip3Probe;
 use crate::hier::schedule_hierarchical;
 use crate::instance::Instance;
-use crate::lst::{lst_assign, lst_binary_search, lst_binary_search_priced};
+use crate::lst::{lst_assign, lst_binary_search, lst_binary_search_priced, lst_lower_bound};
 use crate::pushdown::{is_fractionally_feasible, push_down_all, supported_on_singletons};
 use crate::schedule::Schedule;
 
@@ -79,6 +79,14 @@ pub fn two_approx_with(instance: &Instance, method: TwoApproxMethod) -> TwoAppro
 /// unchanged: probes run in hybrid mode where one exact certification
 /// validates each basis regardless of the pivot path, and the final
 /// rounding solve is the same cold exact solve for every strategy.
+///
+/// The search starts from the lower bound `lo = max(bottleneck, volume)`.
+/// With [`TwoApproxMethod::DirectSingleton`], [`lst_binary_search_priced`]
+/// probes `lo` first and ends with the one exact rounding
+/// `lst_assign(p, m, T*)`, which is used as is: when `lo` is feasible
+/// (the common case) the whole search is one warm probe plus one exact
+/// solve. [`TwoApproxMethod::PushDown`] bisects with its own (IP-3)
+/// oracle and then rounds once with [`lst_assign`].
 pub fn two_approx_priced(
     instance: &Instance,
     method: TwoApproxMethod,
@@ -102,12 +110,9 @@ pub fn two_approx_priced(
     let lo = completed.bottleneck_lower_bound().max(completed.volume_lower_bound()).max(1);
     let hi = completed.sequential_upper_bound().max(lo);
 
-    let t_star = match method {
-        TwoApproxMethod::DirectSingleton => {
-            let (t, _) = lst_binary_search_priced(&p, m, lo, hi, pricing)
-                .expect("completed instances always feasible at the sequential bound");
-            t
-        }
+    let (t_star, rounding) = match method {
+        TwoApproxMethod::DirectSingleton => lst_binary_search_priced(&p, m, lo, hi, pricing)
+            .expect("completed instances always feasible at the sequential bound"),
         TwoApproxMethod::PushDown => {
             // Oracle: hierarchical LP of (IP-3); by Lemma V.1 its minimal
             // feasible T equals the singleton LP's. Probes re-solve
@@ -144,11 +149,10 @@ pub fn two_approx_priced(
                     lo = mid + 1;
                 }
             }
-            lo
+            (lo, lst_assign(&p, m, lo).expect("T* is feasible by construction"))
         }
     };
 
-    let rounding = lst_assign(&p, m, t_star).expect("T* is feasible by construction");
     let singles = completed.singleton_index();
     let mask: Vec<usize> = rounding
         .machine_of
@@ -283,7 +287,7 @@ pub fn eight_approx(gi: &GeneralInstance) -> Option<EightApproxResult> {
     }
     let hi: u64 =
         p.iter().map(|row| row.iter().flatten().min().copied().unwrap_or(0)).sum::<u64>().max(1);
-    let (t_star, rounding) = lst_binary_search(&p, m, 1, hi)?;
+    let (t_star, rounding) = lst_binary_search(&p, m, lst_lower_bound(&p, m).max(1), hi)?;
     let makespan = rounding.makespan(&p, m);
 
     // Preemptive LP lower bound by binary search.

@@ -258,14 +258,36 @@ impl<'a> LstProbe<'a> {
     }
 }
 
-/// Binary-search the minimal integral `t` for which the pruned LP is
-/// feasible (the LST deadline `T*`), between `lo` and `hi` inclusive.
-/// Returns the minimal feasible `t` and its rounding.
+/// The LST lower bound on `T*` for times `p` on `m` machines:
+/// `max(max_j min_i p_ij, ⌈Σ_j min_i p_ij / m⌉)`. Every job needs a pair
+/// with `p_ij ≤ T`, and the `m` machines together must absorb at least
+/// each job's cheapest time. Jobs without a finite pair add nothing (no
+/// horizon is feasible for them anyway).
+pub fn lst_lower_bound(p: &[Vec<Option<u64>>], m: usize) -> u64 {
+    let cheapest = p.iter().filter_map(|row| row.iter().flatten().min().copied());
+    let (max, total) = cheapest.fold((0u64, 0u64), |(max, total), c| (max.max(c), total + c));
+    max.max(total.div_ceil(m.max(1) as u64))
+}
+
+/// The minimal integral `t ≥ lo` for which the pruned LP is feasible
+/// (the LST deadline `T*`), with its rounding. `hi` is an upper guess:
+/// it is doubled until feasible if the caller's bound was too tight.
 ///
-/// The probes run through the warm-started [`LstProbe`]; only the final
-/// rounding at the minimal `t` solves cold (so the returned vertex — and
-/// hence the rounded assignment — is identical to the unsearched
-/// `lst_assign(p, m, t*)`).
+/// Probe order, all through one warm-started [`LstProbe`]:
+/// 1. `lo` itself. Callers pass a lower bound such as
+///    [`lst_lower_bound`], which usually *is* `T*`; if `lo` is feasible
+///    the search ends after this single probe.
+/// 2. Otherwise `hi` (expanded until feasible), then a bisection of
+///    `[lo + 1, hi]`. Against a plain bisection of `[lo, hi]` this
+///    worst case costs at most one extra probe.
+///
+/// Feasibility is monotone in `t`, so either way the result is the
+/// smallest feasible `t` in `[lo, hi]`. Exactly one exact solve follows:
+/// the rounding [`lst_assign`]`(p, m, t*)`, solved cold, so the returned
+/// vertex — and hence the assignment — is identical to the unsearched
+/// `lst_assign(p, m, t*)`. Callers should use it rather than round again.
+/// (If `lo > hi` on entry, the lower-bound probe is skipped and the
+/// search covers `[min(lo, hi'), hi']` for the expanded `hi'`.)
 pub fn lst_binary_search(
     p: &[Vec<Option<u64>>],
     m: usize,
@@ -276,9 +298,9 @@ pub fn lst_binary_search(
 }
 
 /// [`lst_binary_search`] with an explicit entering-column strategy for
-/// the feasibility probes (see [`LstProbe::with_pricing`]); `T*` and the
-/// rounding are unchanged — the final rounding solve is the same cold
-/// exact solve either way.
+/// the feasibility probes (see [`LstProbe::with_pricing`]). The probe
+/// order is the same; `T*` and the rounding are unchanged — the single
+/// final rounding is the same cold exact solve for every strategy.
 pub fn lst_binary_search_priced(
     p: &[Vec<Option<u64>>],
     m: usize,
@@ -287,6 +309,13 @@ pub fn lst_binary_search_priced(
     pricing: lp::Pricing,
 ) -> Option<(u64, LstAssignment)> {
     let mut probe = LstProbe::with_pricing(p, m, pricing);
+    if lo <= hi {
+        if probe.feasible(lo) {
+            return lst_assign(p, m, lo).map(|a| (lo, a));
+        }
+        // Monotone feasibility: every t ≤ lo is infeasible too.
+        lo = lo.saturating_add(1);
+    }
     // Ensure hi is feasible; expand geometrically if the caller's bound
     // was too tight.
     let mut guard = 0;
@@ -383,6 +412,41 @@ mod tests {
     fn empty_input() {
         let a = lst_assign(&[], 3, 1).unwrap();
         assert!(a.machine_of.is_empty());
+    }
+
+    #[test]
+    fn lower_bound_is_bottleneck_or_volume() {
+        // Bottleneck: the cheapest time of job 1 is 7.
+        let p = vec![vec![Some(2), Some(3)], vec![Some(9), Some(7)], vec![None, Some(1)]];
+        assert_eq!(lst_lower_bound(&p, 2), 7);
+        // Volume: ⌈(2 + 3 + 4) / 1⌉ on one machine.
+        let p = vec![vec![Some(2)], vec![Some(3)], vec![Some(4)]];
+        assert_eq!(lst_lower_bound(&p, 1), 9);
+        assert_eq!(lst_lower_bound(&[], 3), 0);
+    }
+
+    #[test]
+    fn search_from_a_feasible_lower_bound_is_one_probe() {
+        let p = vec![vec![Some(3), Some(3)]; 4];
+        let lo = lst_lower_bound(&p, 2);
+        let (t_star, a) = lst_binary_search(&p, 2, lo, 100).unwrap();
+        assert_eq!((lo, t_star), (6, 6));
+        assert_eq!(a.machine_of, lst_assign(&p, 2, 6).unwrap().machine_of);
+    }
+
+    #[test]
+    fn search_from_an_infeasible_lower_bound_bisects() {
+        // Jobs 0 and 1 only run on machine 0, so T* = 4 + 1 = lo + 1:
+        // above both the bottleneck (4) and the volume bound ⌈6 / 2⌉.
+        let p = vec![vec![Some(4), None], vec![Some(1), None], vec![Some(1), Some(1)]];
+        let lo = lst_lower_bound(&p, 2);
+        assert_eq!(lo, 4);
+        assert!(lst_assign(&p, 2, lo).is_none(), "jobs 0 and 1 both need machine 0");
+        for hi in [5, 6, 100, 2] {
+            let (t_star, a) = lst_binary_search(&p, 2, lo, hi).unwrap();
+            assert_eq!(t_star, 5, "hi = {hi}");
+            assert_eq!(a.machine_of, lst_assign(&p, 2, 5).unwrap().machine_of);
+        }
     }
 
     #[test]

@@ -117,13 +117,16 @@ proptest! {
     }
 
     /// The LST deadline search is monotone and its rounding respects the
-    /// 2T bound at every feasible deadline, not just the minimal one.
+    /// 2T bound at every feasible deadline, not just the minimal one. From
+    /// any lower bound `lo ≤ T*` the search returns `T*` itself (checked
+    /// against a plain bisection) and exactly `lst_assign(p, m, T*)`.
     #[test]
     fn lst_two_t_at_any_deadline(
         n in 1usize..7,
         m in 2usize..5,
         seed in 0u64..500,
         slack in 0u64..6,
+        lo_draw in 0u64..1000,
     ) {
         let p: Vec<Vec<Option<u64>>> = (0..n)
             .map(|j| {
@@ -133,17 +136,32 @@ proptest! {
             })
             .collect();
         let hi: u64 = p.iter().map(|r| r.iter().flatten().min().unwrap()).sum();
-        let Some((t_star, _)) = lst_binary_search(&p, m, 1, hi.max(1)) else {
+        // Reference T*: plain bisection of [1, hi] with exact solves.
+        let (mut lo, mut t_ref) = (1u64, hi.max(1));
+        while lo < t_ref {
+            let mid = lo + (t_ref - lo) / 2;
+            if lst_assign(&p, m, mid).is_some() {
+                t_ref = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        let lo = 1 + lo_draw % t_ref;
+        let Some((t_star, rounding)) = lst_binary_search(&p, m, lo, hi.max(1)) else {
             return Err(TestCaseError::fail("search must succeed"));
         };
+        prop_assert_eq!(t_star, t_ref, "searched from lo = {}", lo);
+        let direct = lst_assign(&p, m, t_star).expect("T* is feasible");
+        prop_assert_eq!(&rounding.machine_of, &direct.machine_of);
+        prop_assert_eq!(&rounding.fractional, &direct.fractional);
+        prop_assert_eq!(rounding.fallback_used, direct.fallback_used);
         // Any deadline ≥ t_star is feasible and rounds within 2 deadlines.
         let t = t_star + slack;
         let a = lst_assign(&p, m, t).expect("monotone feasibility");
         prop_assert!(a.makespan(&p, m) <= 2 * t, "LST bound at t = {t}");
-        // And t_star − 1 is infeasible (minimality).
-        if t_star > 1 {
-            prop_assert!(lst_assign(&p, m, t_star - 1).is_none());
-        }
+        // And t_star − 1 is infeasible (minimality; every p ≥ 1, so
+        // t_star ≥ 1).
+        prop_assert!(lst_assign(&p, m, t_star - 1).is_none());
     }
 
     /// Theorem V.2 over clustered topologies (not just semi-partitioned).

@@ -368,30 +368,42 @@ impl<'a> Tracker<'a> {
     }
 }
 
-/// All finite `(set, job)` pairs of an instance — the fixed variable
-/// layout shared by every probe of one epoch's binary search.
-fn finite_pairs(instance: &Instance) -> Vec<(usize, usize)> {
-    let mut pairs = Vec::new();
-    for a in 0..instance.family().len() {
-        for j in 0..instance.num_jobs() {
+/// The fixed variable layout shared by every probe of one epoch's
+/// binary search: one variable per finite `(set, job)` pair, numbered
+/// set-major.
+struct PairLayout {
+    /// Number of variables (finite pairs).
+    len: usize,
+    /// `var[a][j]`: the variable of pair `(a, j)`, `None` when `p = ∞`.
+    var: Vec<Vec<Option<usize>>>,
+}
+
+/// All finite `(set, job)` pairs of an instance, with the index table
+/// every probe's LP build looks its variables up in.
+fn finite_pairs(instance: &Instance) -> PairLayout {
+    let mut len = 0;
+    let mut var = vec![vec![None; instance.num_jobs()]; instance.family().len()];
+    for (a, row) in var.iter_mut().enumerate() {
+        for (j, slot) in row.iter_mut().enumerate() {
             if instance.ptime(j, a).is_some() {
-                pairs.push((a, j));
+                *slot = Some(len);
+                len += 1;
             }
         }
     }
-    pairs
+    PairLayout { len, var }
 }
 
 /// The (IP-3) relaxation at horizon `t` over the fixed layout `pairs`
 /// (pairs with `p > t` are left out of every constraint, which is
 /// feasibility-equivalent to pruning them).
-fn feasibility_lp(instance: &Instance, pairs: &[(usize, usize)], t: u64) -> LinearProgram {
-    let var_of = |set: usize, job: usize| pairs.iter().position(|&p| p == (set, job));
-    let mut lp = LinearProgram::new(pairs.len());
+fn feasibility_lp(instance: &Instance, pairs: &PairLayout, t: u64) -> LinearProgram {
+    let var_of = |set: usize, job: usize| pairs.var[set][job].expect("finite pair in layout");
+    let mut lp = LinearProgram::new(pairs.len);
     for j in 0..instance.num_jobs() {
         let coeffs: Vec<(usize, Q)> = (0..instance.family().len())
             .filter(|&a| instance.ptime(j, a).is_some_and(|p| p <= t))
-            .map(|a| (var_of(a, j).expect("finite pair in layout"), Q::one()))
+            .map(|a| (var_of(a, j), Q::one()))
             .collect();
         lp.add_constraint(coeffs, Relation::Eq, Q::one());
     }
@@ -401,7 +413,7 @@ fn feasibility_lp(instance: &Instance, pairs: &[(usize, usize)], t: u64) -> Line
             for j in 0..instance.num_jobs() {
                 if let Some(p) = instance.ptime(j, b) {
                     if p <= t {
-                        coeffs.push((var_of(b, j).expect("finite pair in layout"), Q::from(p)));
+                        coeffs.push((var_of(b, j), Q::from(p)));
                     }
                 }
             }
@@ -559,7 +571,7 @@ impl Scheduler {
     fn tstar_warm(
         &mut self,
         instance: &Instance,
-        pairs: &[(usize, usize)],
+        pairs: &PairLayout,
         lb: u64,
         ub: u64,
     ) -> Result<u64, BudgetError> {
@@ -580,7 +592,7 @@ impl Scheduler {
 
     /// The same search from a cold start: one fresh exact revised solver
     /// per probe, no state shared with the (possibly faulted) warm cache.
-    fn tstar_cold(&self, instance: &Instance, pairs: &[(usize, usize)], lb: u64, ub: u64) -> u64 {
+    fn tstar_cold(&self, instance: &Instance, pairs: &PairLayout, lb: u64, ub: u64) -> u64 {
         let (mut lo, mut hi) = (lb, ub);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
@@ -729,10 +741,8 @@ impl Scheduler {
         let Some(r) = orig.restrict_to(&self.healthy) else {
             // Total blackout: no admissible set survives. Everything
             // quarantines; the epoch degrades to an empty schedule.
-            for (spec, old) in schedulable {
-                if old.is_some() {
-                    self.report.reassignments += 0; // quarantine ≠ reassignment
-                }
+            // Quarantine is not a reassignment: no counter moves here.
+            for (spec, _) in schedulable {
                 self.quarantine(spec);
             }
             self.active.clear();
