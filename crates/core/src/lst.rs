@@ -47,13 +47,24 @@ impl LstAssignment {
 /// inadmissible). Returns `None` when the LP is infeasible at `t` (or
 /// some job has no machine with `p_ij ≤ t`).
 pub fn lst_assign(p: &[Vec<Option<u64>>], m: usize, t: u64) -> Option<LstAssignment> {
+    lst_assign_with(p, m, t, &lp::RevisedOptions::default()).map(|(a, _)| a)
+}
+
+/// [`lst_assign`] under explicit revised-simplex options, also returning
+/// the exact solve's counters (all zero when no LP is solved). The
+/// assignment is independent of the options; the counters are what the
+/// kernel goldens pin.
+pub fn lst_assign_with(
+    p: &[Vec<Option<u64>>],
+    m: usize,
+    t: u64,
+    opts: &lp::RevisedOptions,
+) -> Option<(LstAssignment, lp::RevisedStats)> {
     let n = p.len();
     if n == 0 {
-        return Some(LstAssignment {
-            machine_of: Vec::new(),
-            fallback_used: false,
-            fractional: Vec::new(),
-        });
+        let empty =
+            LstAssignment { machine_of: Vec::new(), fallback_used: false, fractional: Vec::new() };
+        return Some((empty, lp::RevisedStats::default()));
     }
     // Variable layout: pairs (j, i) with p[j][i] ≤ t.
     let mut pairs: Vec<(usize, usize)> = Vec::new();
@@ -97,7 +108,7 @@ pub fn lst_assign(p: &[Vec<Option<u64>>], m: usize, t: u64) -> Option<LstAssignm
             lp.add_constraint(coeffs, Relation::Le, Q::from(t));
         }
     }
-    let sol = lp.solve();
+    let (sol, stats) = lp.solve_revised_with(opts);
     if sol.status != LpStatus::Optimal {
         return None;
     }
@@ -172,7 +183,7 @@ pub fn lst_assign(p: &[Vec<Option<u64>>], m: usize, t: u64) -> Option<LstAssignm
         }
     }
 
-    Some(LstAssignment { machine_of, fallback_used, fractional })
+    Some((LstAssignment { machine_of, fallback_used, fractional }, stats))
 }
 
 /// Warm-started feasibility oracle for the pruned unrelated-machines LP

@@ -29,17 +29,50 @@ pub(crate) type SVec = Vec<(usize, Q)>;
 /// One elementary transformation `E⁻¹`: applying it to `x` performs
 /// `x[pivot] ← x[pivot] / u[pivot]` followed by
 /// `x[i] ← x[i] − u[i] · x[pivot]` for every other stored entry.
+///
+/// The pivot entry `u[pivot]` is stored apart from the off-pivot
+/// entries, so an application reads it directly instead of searching the
+/// column for it, and skips the division when it is 1 (unit pivots are
+/// the common case: slack and artificial columns, and refactorizations
+/// prefer them). Both applications compute exactly the values the plain
+/// formulas above do; only wasted work is skipped.
 #[derive(Clone, Debug)]
 pub(crate) struct Eta {
     pivot: usize,
-    /// Nonzero entries of the pivot column `u`, including the pivot
-    /// entry itself; ascending by slot.
-    col: SVec,
+    /// `u[pivot]`, nonzero.
+    pivot_value: Q,
+    /// Nonzero entries of the pivot column `u` other than the pivot
+    /// entry; ascending by slot.
+    off: SVec,
 }
 
 impl Eta {
-    fn pivot_value(&self) -> &Q {
-        &self.col[self.col.binary_search_by_key(&self.pivot, |e| e.0).expect("pivot stored")].1
+    /// The eta of the pivot at `pivot` on the dense transformed column
+    /// `u`.
+    fn from_dense(pivot: usize, u: &[Q]) -> Self {
+        debug_assert!(!u[pivot].is_zero(), "pivot element must be nonzero");
+        let off: SVec = u
+            .iter()
+            .enumerate()
+            .filter(|(i, v)| *i != pivot && !v.is_zero())
+            .map(|(i, v)| (i, v.clone()))
+            .collect();
+        Eta { pivot, pivot_value: u[pivot].clone(), off }
+    }
+
+    /// Stored nonzeros, the pivot entry included: what the
+    /// refactorization fill trigger counts.
+    fn nnz(&self) -> usize {
+        self.off.len() + 1
+    }
+
+    /// `v / u[pivot]`.
+    fn divide_by_pivot(&self, v: Q) -> Q {
+        if self.pivot_value.is_one() {
+            v
+        } else {
+            v / self.pivot_value.clone()
+        }
     }
 
     /// Forward application (`x ← E⁻¹ x`) on a dense vector.
@@ -47,25 +80,31 @@ impl Eta {
         if x[self.pivot].is_zero() {
             return;
         }
-        let t = x[self.pivot].clone() / self.pivot_value().clone();
-        for (i, v) in &self.col {
-            if *i != self.pivot && !v.is_zero() {
-                x[*i] = x[*i].clone() - v.clone() * t.clone();
-            }
+        let t = self.divide_by_pivot(std::mem::take(&mut x[self.pivot]));
+        for (i, v) in &self.off {
+            x[*i] = x[*i].clone() - v.clone() * t.clone();
         }
         x[self.pivot] = t;
     }
 
     /// Transposed application (`y ← E⁻ᵀ y`) on a dense vector: only the
-    /// pivot component changes, to `(y_p − Σ_{i≠p} u_i y_i) / u_p`.
+    /// pivot component changes, to `(y_p − Σ_{i≠p} u_i y_i) / u_p`. When
+    /// `y_p` and every `y_i` it reads are zero, that is 0 again, and the
+    /// application returns at once.
     fn apply_transposed(&self, y: &mut [Q]) {
-        let mut acc = y[self.pivot].clone();
-        for (i, v) in &self.col {
-            if *i != self.pivot && !y[*i].is_zero() {
-                acc -= v.clone() * y[*i].clone();
+        let mut acc: Option<Q> = (!y[self.pivot].is_zero()).then(|| y[self.pivot].clone());
+        for (i, v) in &self.off {
+            if !y[*i].is_zero() {
+                let term = v.clone() * y[*i].clone();
+                acc = Some(match acc {
+                    Some(a) => a - term,
+                    None => -term,
+                });
             }
         }
-        y[self.pivot] = acc / self.pivot_value().clone();
+        if let Some(acc) = acc {
+            y[self.pivot] = self.divide_by_pivot(acc);
+        }
     }
 }
 
@@ -162,15 +201,9 @@ impl Factorization {
     /// Record a simplex pivot at `(slot, u)` where `u = B⁻¹ A_q` is the
     /// transformed entering column (dense). `u[slot]` must be nonzero.
     pub(crate) fn append_update(&mut self, slot: usize, u: &[Q]) {
-        debug_assert!(!u[slot].is_zero(), "pivot element must be nonzero");
-        let col: SVec = u
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_zero())
-            .map(|(i, v)| (i, v.clone()))
-            .collect();
-        self.update_nnz += col.len();
-        self.updates.push(Eta { pivot: slot, col });
+        let eta = Eta::from_dense(slot, u);
+        self.update_nnz += eta.nnz();
+        self.updates.push(eta);
     }
 
     /// Rebuild `F`/`P` from scratch out of the given basis columns
@@ -236,14 +269,9 @@ impl Factorization {
             }
         }
         let pos = pos?;
-        let eta_col: SVec = x
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_zero())
-            .map(|(i, v)| (i, v.clone()))
-            .collect();
-        self.factor_nnz += eta_col.len();
-        self.factor.push(Eta { pivot: pos, col: eta_col });
+        let eta = Eta::from_dense(pos, x);
+        self.factor_nnz += eta.nnz();
+        self.factor.push(eta);
         Some(pos)
     }
 }
@@ -282,6 +310,36 @@ mod tests {
                 acc += v.clone() * y[*i].clone();
             }
             assert_eq!(acc, c[k], "col {k}");
+        }
+    }
+
+    /// BTRAN of every unit vector — mostly zeros, so most etas see a
+    /// zero pivot component with nonzero entries elsewhere, or nothing
+    /// at all — solves `Bᵀ y = e_k`, through factor and update etas.
+    #[test]
+    fn btran_unit_vectors_through_updates() {
+        let cols: Vec<SVec> = vec![
+            vec![(0, q(2)), (2, q(1))],
+            vec![(1, q(1)), (2, q(1))],
+            vec![(0, q(1)), (2, q(3))],
+        ];
+        let mut f = Factorization::identity(3);
+        f.refactor(&cols.iter().collect::<Vec<_>>());
+        // Replace slot 0's column by a = (1, 2, 6) through an update eta
+        // (its transformed pivot entry is -1/5).
+        let a: SVec = vec![(0, q(1)), (1, q(2)), (2, q(6))];
+        let mut u = Vec::new();
+        f.ftran_sparse(&a, &mut u);
+        f.append_update(0, &u);
+        let basis = [a, cols[1].clone(), cols[2].clone()];
+        for k in 0..3 {
+            let mut y = vec![Q::zero(); 3];
+            y[k] = Q::one();
+            f.btran_inplace(&mut y);
+            for (s, col) in basis.iter().enumerate() {
+                let dot = Q::sum(col.iter().map(|(i, v)| v.clone() * y[*i].clone()));
+                assert_eq!(dot, if s == k { Q::one() } else { Q::zero() }, "e_{k}, column {s}");
+            }
         }
     }
 

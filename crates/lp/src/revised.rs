@@ -13,7 +13,8 @@
 //!
 //! * **pricing** — one BTRAN for the multipliers `y = B⁻ᵀ c_B`, then
 //!   reduced costs `c_j − y·A_j` column by column in Bland order with
-//!   early exit at the first negative;
+//!   early exit at the first negative (only their signs matter, which
+//!   the serial scan reads in integer arithmetic where the data allow);
 //! * **ratio test** — one FTRAN for the transformed entering column;
 //! * **basic values** — `x_B` updated incrementally per pivot, exactly
 //!   as the tableau updates its right-hand side.
@@ -33,6 +34,8 @@
 //! solves (the binary-search probes on the horizon `T`) additionally
 //! reuses the *parent factorization* wholesale whenever the hinted basis
 //! columns are unchanged in the new program, skipping even the crash.
+
+use std::cmp::Ordering;
 
 use numeric::Q;
 
@@ -78,6 +81,13 @@ pub enum Pricing {
 #[derive(Clone, Debug)]
 pub struct RevisedOptions {
     /// Refactorize after this many eta updates (pivot-count trigger).
+    ///
+    /// The default, 64, is a measured trade-off. A shorter update file
+    /// makes each FTRAN/BTRAN cheaper, and 16 speeds up the n = 48 LST
+    /// rounding by about a fifth, but every refactorization re-eliminates
+    /// all `m` basis columns: at 16 (and at 32) the large-`m` solves of
+    /// `harness e11` slow down well past their noise (m = 1024
+    /// `two_approx` about 0.9 s → 1.1–1.4 s on a 2-core host).
     pub refactor_interval: usize,
     /// Refactorize when the update file's nonzeros exceed
     /// `refactor_fill_factor · (m + factorization nonzeros)` (fill
@@ -480,6 +490,73 @@ pub(crate) fn reduced_cost_in(a_cols: &[SVec], cost: &[Q], y: &[Q], j: usize) ->
     r
 }
 
+/// The simplex multipliers `y` scaled to integers, for exact integer
+/// pricing: `z = D·y` over the least common denominator `D` of the
+/// entries of `y`. For a column whose cost `c_j` and coefficients `a_ij`
+/// are all integers, `D·(c_j − Σ_i y_i a_ij) = c_j·D − Σ_i z_i a_ij` is
+/// an integer with the sign of the reduced cost (`D > 0`), so Bland's
+/// scan can read that sign from checked `i128` arithmetic instead of a
+/// rational sum with a gcd per term. Integer data is the common case:
+/// phase-1 costs are 0/1 and the paper's LPs have integer coefficients.
+struct ScaledDuals {
+    /// The common denominator `D`, at most [`ScaledDuals::MAX_DENOM`].
+    denom: i128,
+    /// `z_i = D·y_i`, one per row (zero where `y_i` is zero).
+    z: Vec<i128>,
+}
+
+impl ScaledDuals {
+    /// Largest common denominator scaled to. It keeps `c_j·D` inside
+    /// `i128` for every `i64`-sized cost; past it the whole scan prices
+    /// in `Q`.
+    const MAX_DENOM: i128 = 1 << 62;
+
+    /// `None` when an entry of `y` is not a small rational, `D` would
+    /// exceed [`Self::MAX_DENOM`], or some `z_i` overflows `i128`: the
+    /// caller then prices the whole scan in `Q`.
+    fn new(y: &[Q]) -> Option<Self> {
+        let mut denom: i128 = 1;
+        for v in y {
+            let (_, d) = v.to_i128_pair()?;
+            if d != 1 && denom % d != 0 {
+                let g = numeric::gcd_u128(denom as u128, d as u128) as i128;
+                denom = (denom / g).checked_mul(d).filter(|&l| l <= Self::MAX_DENOM)?;
+            }
+        }
+        let z = y
+            .iter()
+            .map(|v| {
+                let (n, d) = v.to_i128_pair()?;
+                n.checked_mul(denom / d)
+            })
+            .collect::<Option<Vec<i128>>>()?;
+        Some(ScaledDuals { denom, z })
+    }
+
+    /// Sign of column `j`'s reduced cost `c_j − y·A_j`, or `None` when
+    /// `c_j` or a coefficient read is fractional (or big), or the checked
+    /// arithmetic overflows: that column is then priced in `Q`.
+    fn reduced_cost_sign(&self, cost: &[Q], a_cols: &[SVec], j: usize) -> Option<Ordering> {
+        let mut acc = integer_of(&cost[j])?.checked_mul(self.denom)?;
+        for (i, v) in &a_cols[j] {
+            let z = self.z[*i];
+            if z != 0 {
+                acc = acc.checked_sub(z.checked_mul(integer_of(v)?)?)?;
+            }
+        }
+        Some(acc.cmp(&0))
+    }
+}
+
+/// `v` as an `i128` when it is a small integer.
+#[inline]
+fn integer_of(v: &Q) -> Option<i128> {
+    match v.to_i128_pair() {
+        Some((n, 1)) => Some(n),
+        _ => None,
+    }
+}
+
 /// Mutable pricing state carried across the pivots of one solve.
 /// Shared with the hybrid float proposer — selection state (cursor,
 /// candidate list, devex weights) is plain bookkeeping either way; only
@@ -757,16 +834,26 @@ impl<'a> Core<'a> {
     /// early exit) and takes the hit from the *earliest* chunk, which is
     /// exactly the serial entering column; only `columns_priced` differs
     /// (later chunks scan speculatively).
+    ///
+    /// The serial scan prices in integers where it can: see
+    /// [`ScaledDuals`]. Every column gets the sign of its exact reduced
+    /// cost either way, so the entering column is unchanged.
     fn bland_enter(&mut self, cost: &[Q], y: &[Q], allowed: Allowed) -> Option<usize> {
         let cols = self.a_cols.len();
         let parts = self.scan_parts(cols, PAR_MIN_COLS);
         if parts <= 1 {
+            let scaled = ScaledDuals::new(y);
             for j in 0..cols {
                 if !allowed(j) || self.in_basis[j] {
                     continue;
                 }
                 self.stats.columns_priced += 1;
-                if self.reduced_cost(cost, y, j).is_negative() {
+                let negative =
+                    match scaled.as_ref().and_then(|z| z.reduced_cost_sign(cost, self.a_cols, j)) {
+                        Some(sign) => sign == Ordering::Less,
+                        None => self.reduced_cost(cost, y, j).is_negative(),
+                    };
+                if negative {
                     return Some(j);
                 }
             }
@@ -1603,6 +1690,44 @@ mod tests {
 
     fn qr(p: i64, d: i64) -> Q {
         Q::ratio(p, d)
+    }
+
+    /// Integer pricing reads the sign of the exact reduced cost, and
+    /// declines (whole scan or single column) exactly where it must.
+    #[test]
+    fn scaled_duals_price_exact_signs_and_decline_out_of_range() {
+        // y = (1/2, -1/3, 0): D = 6, z = (3, -2, 0).
+        let y = vec![qr(1, 2), qr(-1, 3), Q::zero()];
+        let z = ScaledDuals::new(&y).expect("small common denominator");
+        assert_eq!((z.denom, z.z.clone()), (6, vec![3, -2, 0]));
+        let a_cols: Vec<SVec> = vec![
+            vec![(0, q(2)), (1, q(3))], // rc(c=1) = 1 - (1 - 1) = 1
+            vec![(0, q(4)), (2, q(7))], // rc(c=2) = 2 - 2 = 0
+            vec![(1, q(-6))],           // rc(c=-3) = -3 - 2 = -5
+            vec![(0, qr(1, 3))],        // fractional coefficient
+        ];
+        let cost = vec![q(1), q(2), q(-3), q(1)];
+        let signs: Vec<_> = (0..4).map(|j| z.reduced_cost_sign(&cost, &a_cols, j)).collect();
+        assert_eq!(
+            signs,
+            vec![Some(Ordering::Greater), Some(Ordering::Equal), Some(Ordering::Less), None]
+        );
+        for j in 0..3 {
+            assert_eq!(Some(reduced_cost_in(&a_cols, &cost, &y, j).cmp(&Q::zero())), signs[j]);
+        }
+        // A fractional cost declines too, as does a product past i128.
+        assert_eq!(z.reduced_cost_sign(&[qr(1, 2)], &a_cols, 0), None);
+        let huge: Vec<SVec> = vec![vec![(0, Q::from_i128(i128::MAX / 2))]];
+        assert_eq!(z.reduced_cost_sign(&[q(0)], &huge, 0), None);
+        // Three coprime denominators near 2^21 push D past 2^62.
+        let primes = [2_097_143i64, 2_097_133, 2_097_131];
+        assert!(ScaledDuals::new(&primes.map(|p| qr(1, p))).is_none());
+        assert!(
+            ScaledDuals::new(&primes[..2].iter().map(|&p| qr(1, p)).collect::<Vec<_>>()).is_some()
+        );
+        // A big-representation multiplier declines the whole scan.
+        let big = Q::from_i128(i128::MAX) * q(4);
+        assert!(ScaledDuals::new(&[big]).is_none());
     }
 
     /// The revised solver is pivot-identical to the tableau solvers on

@@ -30,13 +30,26 @@ fn random_lp(
     rhss: &[i64],
     n_cons: usize,
 ) -> LinearProgram {
+    let qs = |v: &[i64]| v.iter().map(|&x| q(x)).collect::<Vec<_>>();
+    lp_over(nv, &qs(objs), &qs(coefs), rels, &qs(rhss), n_cons)
+}
+
+/// [`random_lp`] over arbitrary exact data.
+fn lp_over(
+    nv: usize,
+    objs: &[Q],
+    coefs: &[Q],
+    rels: &[u8],
+    rhss: &[Q],
+    n_cons: usize,
+) -> LinearProgram {
     let mut lp = LinearProgram::new(nv);
     for v in 0..nv {
-        lp.set_objective(v, q(objs[v % objs.len()]));
+        lp.set_objective(v, objs[v % objs.len()].clone());
     }
     for c in 0..n_cons {
         let coeffs: Vec<(usize, Q)> = (0..nv)
-            .map(|v| (v, q(coefs[(c * nv + v) % coefs.len()])))
+            .map(|v| (v, coefs[(c * nv + v) % coefs.len()].clone()))
             .filter(|(_, w)| !w.is_zero())
             .collect();
         if coeffs.is_empty() {
@@ -47,10 +60,32 @@ fn random_lp(
             1 => Relation::Ge,
             _ => Relation::Eq,
         };
-        lp.add_constraint(coeffs, rel, q(rhss[c % rhss.len()]));
+        lp.add_constraint(coeffs, rel, rhss[c % rhss.len()].clone());
     }
     lp
 }
+
+/// The serial revised solver (the scan that prices in integers where it
+/// can) against the dense reference: status, objective, vertex, basis.
+fn assert_revised_matches_dense(lp: &LinearProgram) -> Result<(), TestCaseError> {
+    let dense = lp.solve_with(Solver::Dense);
+    let (revised, _) =
+        lp.solve_revised_with(&RevisedOptions { threads: 1, ..RevisedOptions::default() });
+    prop_assert_eq!(dense.status, revised.status);
+    if dense.status == LpStatus::Optimal {
+        prop_assert_eq!(&dense.objective_value, &revised.objective_value);
+        prop_assert_eq!(&dense.values, &revised.values, "vertices must be identical");
+        prop_assert_eq!(&dense.basis, &revised.basis, "bases must be identical");
+        prop_assert!(lp.is_feasible_point(&revised.values));
+    }
+    Ok(())
+}
+
+/// Primes just below 2^21: the multipliers of a basis over them carry
+/// denominators whose common multiple passes 2^62 after three of them,
+/// forcing the pricing scan's whole-scan rational fallback (and its
+/// per-column overflow fallback on the way there).
+const BIG_PRIMES: [i64; 6] = [2_097_143, 2_097_133, 2_097_131, 2_097_097, 2_097_091, 2_097_083];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -364,5 +399,71 @@ proptest! {
             prop_assert_eq!(&exact.values, &hybrid.values, "k = {}", k);
             prop_assert!(lp.is_feasible_point(&hybrid.values));
         }
+    }
+
+    /// Integer data: every column prices in integers, including columns
+    /// whose coefficients are large enough that the scaled products need
+    /// the full `i128` width.
+    #[test]
+    fn integer_pricing_matches_dense(
+        nv in 1usize..7,
+        n_cons in 1usize..7,
+        objs in proptest::collection::vec(-40i64..41, 7),
+        coefs in proptest::collection::vec(-30i64..31, 49),
+        rels in proptest::collection::vec(0u8..3, 7),
+        rhss in proptest::collection::vec(-20i64..60, 7),
+    ) {
+        let lp = random_lp(nv, &objs, &coefs, &rels, &rhss, n_cons);
+        assert_revised_matches_dense(&lp)?;
+    }
+
+    /// Fractional coefficients and costs: those columns fall back to the
+    /// rational reduced cost one by one, the integer ones do not.
+    #[test]
+    fn fractional_coefficient_pricing_matches_dense(
+        nv in 1usize..6,
+        n_cons in 1usize..6,
+        objs in proptest::collection::vec((-6i64..7, 1i64..4), 6),
+        coefs in proptest::collection::vec((-6i64..7, 1i64..5), 36),
+        rels in proptest::collection::vec(0u8..3, 6),
+        rhss in proptest::collection::vec((-6i64..15, 1i64..4), 6),
+    ) {
+        let qs = |v: &[(i64, i64)]| v.iter().map(|&(n, d)| Q::ratio(n, d)).collect::<Vec<_>>();
+        let lp = lp_over(nv, &qs(&objs), &qs(&coefs), &rels, &qs(&rhss), n_cons);
+        assert_revised_matches_dense(&lp)?;
+    }
+
+    /// A large prime on each row's own variable gives the multipliers
+    /// pairwise-coprime denominators: from three rows on their common
+    /// multiple overflows the integer scaling and the whole scan prices
+    /// in rationals. A huge coefficient elsewhere overflows the scaled
+    /// products of single columns.
+    #[test]
+    fn overflowing_denominator_pricing_matches_dense(
+        nv in 3usize..7,
+        n_cons in 2usize..6,
+        objs in proptest::collection::vec(-3i64..2, 7),
+        picks in proptest::collection::vec(0usize..8, 42),
+        rels in proptest::collection::vec(0u8..3, 6),
+        rhss in proptest::collection::vec(1i64..40, 6),
+    ) {
+        let n_cons = n_cons.min(nv);
+        let palette = |k: usize| match k {
+            0..=2 => Q::zero(),
+            3 => q(1),
+            4 => q(-1),
+            5 => q(3),
+            6 => q(BIG_PRIMES[5]),
+            _ => Q::from_i128((1i128 << 110) + 1),
+        };
+        let coefs: Vec<Q> = (0..n_cons * nv)
+            .map(|k| {
+                let (c, v) = (k / nv, k % nv);
+                if c == v { q(BIG_PRIMES[c]) } else { palette(picks[k]) }
+            })
+            .collect();
+        let qs = |v: &[i64]| v.iter().map(|&x| q(x)).collect::<Vec<_>>();
+        let lp = lp_over(nv, &qs(&objs), &coefs, &rels, &qs(&rhss), n_cons);
+        assert_revised_matches_dense(&lp)?;
     }
 }

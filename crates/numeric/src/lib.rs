@@ -59,7 +59,12 @@ pub fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
 ///
 /// The workhorse of [`Rational`]'s small-value fast path: every reduce of
 /// an `i128` fraction goes through here instead of `BigUint::gcd`.
+/// Operands that both fit in 64 bits (almost all of them in practice)
+/// take [`gcd_u64`]: same result, native-width shifts and compares.
 pub fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
+    if let (Ok(a), Ok(b)) = (u64::try_from(a), u64::try_from(b)) {
+        return gcd_u64(a, b) as u128;
+    }
     if a == 0 {
         return b;
     }

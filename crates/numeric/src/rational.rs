@@ -41,17 +41,38 @@ enum Repr {
     Big { num: BigInt, den: BigInt },
 }
 
+/// `x / g` for an exact divisor `g` that is a gcd from [`gcd_i128`]:
+/// hardware `i64` division when both fit (`i128` division is a software
+/// routine on most targets), `i128` otherwise. A gcd that fits `i64` is
+/// positive, which rules out `i64::MIN / -1`.
+#[inline]
+fn div_exact(x: i128, g: i128) -> i128 {
+    debug_assert!(g != 0);
+    match (i64::try_from(x), i64::try_from(g)) {
+        (Ok(x), Ok(g)) => (x / g) as i128,
+        _ => x / g,
+    }
+}
+
+/// `gcd(|x|, |y|)` as an `i128`. The gcd is at most `i128::MAX` unless
+/// both operands are `i128::MIN`; that one wraps to `i128::MIN` itself,
+/// which still divides both exactly.
+#[inline]
+fn gcd_i128(x: i128, y: i128) -> i128 {
+    gcd_u128(x.unsigned_abs(), y.unsigned_abs()) as i128
+}
+
 /// Divide out the gcd of an already sign-normalized pair (`den > 0`).
 #[inline]
 fn reduce_small(num: i128, den: i128) -> Repr {
     if num == 0 {
         return Repr::Small { num: 0, den: 1 };
     }
-    let g = gcd_u128(num.unsigned_abs(), den.unsigned_abs());
+    let g = gcd_i128(num, den);
     if g == 1 {
         Repr::Small { num, den }
     } else {
-        Repr::Small { num: num / g as i128, den: den / g as i128 }
+        Repr::Small { num: div_exact(num, g), den: div_exact(den, g) }
     }
 }
 
@@ -369,10 +390,26 @@ impl Rational {
 ///
 /// Uses the gcd-of-denominators trick (Knuth 4.5.1): with `g = gcd(b, d)`
 /// the result `(a·d/g + c·b/g) / (b/g · d)` needs only one small gcd to
-/// reach lowest terms, keeping intermediates far from overflow.
+/// reach lowest terms, keeping intermediates far from overflow. Integer
+/// operands skip every gcd: with `b = 1`, `gcd(a·d + c, d) = gcd(c, d) = 1`
+/// already (and symmetrically for `d = 1`), and equal denominators skip
+/// the first one.
 #[inline]
 fn add_small(a: i128, b: i128, c: i128, d: i128) -> Option<Repr> {
-    let g = gcd_u128(b.unsigned_abs(), d.unsigned_abs()) as i128;
+    if b == 1 || d == 1 {
+        let num = if b == 1 {
+            a.checked_mul(d)?.checked_add(c)?
+        } else {
+            c.checked_mul(b)?.checked_add(a)?
+        };
+        // Lowest terms by the argument above; a zero sum has `b = d = 1`.
+        return Some(Repr::Small { num, den: b.max(d) });
+    }
+    if b == d {
+        let t = a.checked_add(c)?;
+        return Some(reduce_small(t, b));
+    }
+    let g = gcd_i128(b, d);
     if g == 1 {
         let num = a.checked_mul(d)?.checked_add(c.checked_mul(b)?)?;
         let den = b.checked_mul(d)?;
@@ -383,29 +420,44 @@ fn add_small(a: i128, b: i128, c: i128, d: i128) -> Option<Repr> {
             Repr::Small { num, den }
         });
     }
-    let (b1, d1) = (b / g, d / g);
+    let (b1, d1) = (div_exact(b, g), div_exact(d, g));
     let t = a.checked_mul(d1)?.checked_add(c.checked_mul(b1)?)?;
     if t == 0 {
         return Some(Repr::Small { num: 0, den: 1 });
     }
-    let g2 = gcd_u128(t.unsigned_abs(), g.unsigned_abs()) as i128;
-    let num = t / g2;
-    let den = b1.checked_mul(d / g2)?;
+    let g2 = gcd_i128(t, g);
+    if g2 == 1 {
+        return Some(Repr::Small { num: t, den: b1.checked_mul(d)? });
+    }
+    let num = div_exact(t, g2);
+    let den = b1.checked_mul(div_exact(d, g2))?;
     Some(Repr::Small { num, den })
 }
 
 /// `a/b * c/d` entirely in `i128`; `None` on any overflow. Cross-reduces
 /// before multiplying so the products stay small and no final gcd is
-/// needed.
+/// needed; a side whose denominator is 1 has nothing to cross-reduce
+/// against, so its gcd is skipped.
 #[inline]
 fn mul_small(a: i128, b: i128, c: i128, d: i128) -> Option<Repr> {
     if a == 0 || c == 0 {
         return Some(Repr::Small { num: 0, den: 1 });
     }
-    let g1 = gcd_u128(a.unsigned_abs(), d.unsigned_abs()) as i128;
-    let g2 = gcd_u128(c.unsigned_abs(), b.unsigned_abs()) as i128;
-    let num = (a / g1).checked_mul(c / g2)?;
-    let den = (b / g2).checked_mul(d / g1)?;
+    let (mut a, mut b, mut c, mut d) = (a, b, c, d);
+    if d != 1 {
+        let g1 = gcd_i128(a, d);
+        if g1 != 1 {
+            (a, d) = (div_exact(a, g1), div_exact(d, g1));
+        }
+    }
+    if b != 1 {
+        let g2 = gcd_i128(c, b);
+        if g2 != 1 {
+            (c, b) = (div_exact(c, g2), div_exact(b, g2));
+        }
+    }
+    let num = a.checked_mul(c)?;
+    let den = b.checked_mul(d)?;
     Some(Repr::Small { num, den })
 }
 
@@ -565,6 +617,9 @@ impl Ord for Rational {
                 (x, y) if x > y => return Ordering::Greater,
                 (0, 0) => return Ordering::Equal,
                 _ => {}
+            }
+            if b == d {
+                return a.cmp(c);
             }
             if let (Some(l), Some(r)) = (a.checked_mul(*d), c.checked_mul(*b)) {
                 return l.cmp(&r);

@@ -2,7 +2,7 @@
 //! structures it models (ℕ for BigUint, ℤ for BigInt, ℚ for Rational),
 //! cross-checked against i128 arithmetic as the oracle.
 
-use numeric::{BigInt, BigUint, Rational};
+use numeric::{gcd_u128, gcd_u64, BigInt, BigUint, Rational};
 use proptest::prelude::*;
 
 fn big(v: u64) -> BigUint {
@@ -68,6 +68,37 @@ fn shift_i64(v: i64, shift: u32) -> BigInt {
         acc = acc.mul_ref(&two);
     }
     acc
+}
+
+/// `x ∘ y` for all four field operations and the order, through
+/// `Rational` and through the BigInt reference: any disagreement in the
+/// canonical numerator/denominator is a fast-path bug.
+fn check_against_reference(x: &Rational, y: &Rational) -> Result<(), TestCaseError> {
+    let rx = RefRat::new(x.numer(), x.denom());
+    let ry = RefRat::new(y.numer(), y.denom());
+    let mut results = vec![
+        ("+", x.clone() + y.clone(), rx.add(&ry)),
+        ("-", x.clone() - y.clone(), rx.sub(&ry)),
+        ("*", x.clone() * y.clone(), rx.mul(&ry)),
+    ];
+    if !y.is_zero() {
+        results.push(("/", x.clone() / y.clone(), rx.div(&ry)));
+    }
+    for (op, fast, reference) in results {
+        prop_assert_eq!(fast.numer(), reference.num.clone(), "{:?} {} {:?}: numerator", x, op, y);
+        prop_assert_eq!(fast.denom(), reference.den.clone(), "{:?} {} {:?}: denominator", x, op, y);
+        // Canonical form: the value rebuilt from its parts is equal.
+        prop_assert_eq!(&Rational::new(fast.numer(), fast.denom()), &fast);
+    }
+    prop_assert_eq!(x.cmp(y), rx.cmp(&ry), "{:?} vs {:?}", x, y);
+    Ok(())
+}
+
+/// `±mag / den` built through the normalizing constructor (which itself
+/// takes the small path's gcd and division).
+fn q128(negative: bool, mag: u64, den: u64) -> Rational {
+    let num = if negative { -(mag as i128) } else { mag as i128 };
+    Rational::new(BigInt::from_i128(num), BigInt::from_i128(den as i128))
 }
 
 proptest! {
@@ -275,5 +306,83 @@ proptest! {
         if (a.to_f64() - b.to_f64()).abs() > 1e-9 {
             prop_assert_eq!(a > b, a.to_f64() > b.to_f64());
         }
+    }
+
+    /// Integer operands (`den = 1`) take the gcd-free add/mul paths, on
+    /// one side or both; magnitudes reach past `i64` so the `i128`
+    /// overflow escape is exercised too.
+    #[test]
+    fn rational_integer_fast_paths_match_reference(
+        a in -(1i128 << 100)..(1i128 << 100), c in -(1i128 << 100)..(1i128 << 100),
+        an in -10_000i64..10_000, ad in 2i64..1000, small in -1000i64..1000,
+    ) {
+        let (x, y) = (Rational::from_i128(a), Rational::from_i128(c));
+        check_against_reference(&x, &y)?;
+        let frac = Rational::ratio(an, ad);
+        check_against_reference(&x, &frac)?;
+        check_against_reference(&frac, &y)?;
+        let s = Rational::from_int(small);
+        check_against_reference(&s, &frac)?;
+        check_against_reference(&frac, &s)?;
+        check_against_reference(&s, &Rational::from_int(an))?;
+    }
+
+    /// Equal denominators skip the gcd of the denominators; the sum's
+    /// common factor with the denominator must still be divided out.
+    #[test]
+    fn rational_equal_denominators_match_reference(
+        an in -100_000i64..100_000, cn in -100_000i64..100_000,
+        d in 2i64..10_000, scale in 0u32..60,
+    ) {
+        let x = Rational::ratio(an, d);
+        let y = Rational::ratio(cn, d);
+        check_against_reference(&x, &y)?;
+        // The same shape with denominators far past i64.
+        let big_d = (d as i128) << scale;
+        let xb = Rational::new(BigInt::from_i64(an), BigInt::from_i128(big_d));
+        let yb = Rational::new(BigInt::from_i64(cn), BigInt::from_i128(big_d));
+        check_against_reference(&xb, &yb)?;
+        check_against_reference(&xb, &xb)?;
+    }
+
+    /// Magnitudes in [2^62, 2^64] straddle `i64::MAX`, so numerators,
+    /// denominators and gcds land on both sides of the hardware-division
+    /// dispatch; a shared factor `k` forces a nontrivial gcd.
+    #[test]
+    fn rational_i64_boundary_matches_reference(
+        m1 in (1u64 << 62)..=u64::MAX, m2 in (1u64 << 62)..=u64::MAX,
+        d1 in 1u64..=u64::MAX, d2 in (1u64 << 62)..=u64::MAX,
+        k in 1u64..64, neg1: bool, neg2: bool,
+    ) {
+        let x = q128(neg1, m1, d1);
+        let y = q128(neg2, m2, d2);
+        check_against_reference(&x, &y)?;
+        // Common factor k on both sides of each operand.
+        let xk = Rational::new(x.numer().mul_ref(&BigInt::from_i64(k as i64)),
+                               x.denom().mul_ref(&BigInt::from_i64(k as i64)));
+        prop_assert_eq!(&xk, &x);
+        let y_small = q128(neg2, m2 / k, k);
+        check_against_reference(&x, &y_small)?;
+        check_against_reference(&y_small, &Rational::from_int(k as i64))?;
+    }
+
+    /// `gcd_u128` agrees with `gcd_u64` below 2^64 and with the BigUint
+    /// gcd above it, on operands straddling the 2^64 dispatch boundary.
+    #[test]
+    fn gcd_u128_matches_gcd_u64_across_the_boundary(
+        a in (1u128 << 60)..(1u128 << 68), b in (1u128 << 60)..(1u128 << 68),
+        k in 1u128..(1u128 << 8), low: u64,
+    ) {
+        let g = gcd_u128(a, b);
+        if let (Ok(a64), Ok(b64)) = (u64::try_from(a), u64::try_from(b)) {
+            prop_assert_eq!(g, gcd_u64(a64, b64) as u128);
+        }
+        let reference = BigUint::from_u128(a).gcd(&BigUint::from_u128(b)).to_u128();
+        prop_assert_eq!(Some(g), reference);
+        // A shared factor pushes the operands across 2^64 and scales the gcd.
+        prop_assert_eq!(gcd_u128(a * k, b * k), g * k);
+        prop_assert_eq!(gcd_u128(low as u128, 0), low as u128);
+        // gcd(low, 2^64) is low's power-of-two part (2^64 itself for 0).
+        prop_assert_eq!(gcd_u128(low as u128, 1u128 << 64), 1u128 << (low as u128).trailing_zeros().min(64));
     }
 }
